@@ -471,7 +471,7 @@ impl<P: Process> PackedCtx<P> {
     // Every accessor comes in an `_opt` form threading an optional
     // [`PackedCache`]: `Some(cache)` reads through the caller's thread-local
     // cache (populating it on miss), `None` hits the shared tables directly.
-    // The legacy uncached names are thin `_opt(None, ..)` wrappers so the
+    // The plain uncached names are thin `_opt(None, ..)` wrappers so the
     // cached and uncached paths share one implementation and cannot drift.
 
     /// Reads the process entry behind `id` through the cache if one is given.

@@ -368,31 +368,45 @@ impl SpillArena {
             // the per-pid directory keeps their arenas from colliding while
             // giving crash cleanup a single obvious unit to sweep.
             let dir = spill_dir().join(format!("cbh-spill-{}", std::process::id()));
-            // `create_dir`, not `create_dir_all`: an unusable or missing
-            // spill *base* directory must stay a typed `Create` error, not
-            // be silently conjured into existence.
-            if let Err(e) = std::fs::create_dir(&dir) {
-                if e.kind() != std::io::ErrorKind::AlreadyExists {
-                    return Err(SpillError::Create {
-                        path: dir.display().to_string(),
-                        kind: e.kind(),
-                    });
-                }
-            }
             let path = dir.join(format!(
                 "cbh-spill-{}-{}.bin",
                 std::process::id(),
                 ARENA_SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            let file = OpenOptions::new()
-                .create_new(true)
-                .read(true)
-                .write(true)
-                .open(&path)
-                .map_err(|e| SpillError::Create {
-                    path: path.display().to_string(),
-                    kind: e.kind(),
-                })?;
+            let mut attempts = 0;
+            let file = loop {
+                // `create_dir`, not `create_dir_all`: an unusable or missing
+                // spill *base* directory must stay a typed `Create` error,
+                // not be silently conjured into existence.
+                if let Err(e) = std::fs::create_dir(&dir) {
+                    if e.kind() != std::io::ErrorKind::AlreadyExists {
+                        return Err(SpillError::Create {
+                            path: dir.display().to_string(),
+                            kind: e.kind(),
+                        });
+                    }
+                }
+                match OpenOptions::new()
+                    .create_new(true)
+                    .read(true)
+                    .write(true)
+                    .open(&path)
+                {
+                    Ok(file) => break file,
+                    // A sibling arena's drop removed the then-empty
+                    // directory between `create_dir` and `open`: recreate
+                    // it and retry.
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound && attempts < 8 => {
+                        attempts += 1;
+                    }
+                    Err(e) => {
+                        return Err(SpillError::Create {
+                            path: path.display().to_string(),
+                            kind: e.kind(),
+                        })
+                    }
+                }
+            };
             st.file = Some(Arc::new(file));
             st.path = Some(path);
             let shared = Arc::clone(&self.shared);
@@ -783,23 +797,6 @@ where
                 return Ok(Some(item));
             }
         }
-    }
-
-    /// Pops up to `cap` items, preserving order (layer-block materialisation
-    /// for the barrier engine's parallel expansion).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`SpillError`] from the underlying pops.
-    pub fn pop_block(&mut self, cap: usize) -> Result<Vec<C::Item>, SpillError> {
-        let mut block = Vec::new();
-        while block.len() < cap {
-            match self.pop()? {
-                Some(item) => block.push(item),
-                None => break,
-            }
-        }
-        Ok(block)
     }
 }
 

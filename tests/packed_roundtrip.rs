@@ -11,16 +11,22 @@
 //! - `locations_touched` (Table 1's space measure) and allocation length,
 //! - the step outcome itself (result value / recorded decision).
 //!
-//! The walk also checks the read-only digest preview against the digests of
-//! materialised successors, and finally unwinds every packed step through
-//! [`PackedCtx::undo`], which must land bit-exactly on the packed root.
+//! The script also interleaves undos: a `cmd % 4 == 0` command pops the
+//! last step through [`PackedCtx::undo`] and restores the machine from a
+//! stack of clones, so both sides stay in lockstep. In both digest modes
+//! (plain and symmetric), a running digest is maintained incrementally
+//! through the read-only [`PackedCtx::edge_digest`] preview and restored on
+//! undo; after every command it must equal a full [`PackedCtx::digest`]
+//! re-hash. Finally every remaining step is unwound, which must land
+//! bit-exactly on the packed root and its digests.
 
 use proptest::prelude::*;
-use space_hierarchy::model::{
-    PackedStepOutcome, PackedUndo, Protocol,
-};
+use space_hierarchy::model::{PackedStepOutcome, PackedUndo, Protocol};
 use space_hierarchy::protocols::registry::{self, RowSpec, RowVisitor};
 use space_hierarchy::sim::{Machine, StepOutcome};
+
+/// The two digest modes, in index order: plain, then symmetric.
+const MODES: [bool; 2] = [false, true];
 
 /// Replays `script` through both representations and cross-checks them.
 struct LockstepWalk<'s> {
@@ -45,55 +51,79 @@ impl RowVisitor for LockstepWalk<'_> {
         let ctx = machine.packed_ctx();
         let mut packed = machine.pack(&ctx);
         let root = packed.clone();
-        let root_digest = ctx.digest(&packed, false);
-        let mut undos: Vec<PackedUndo> = Vec::new();
+        let root_digests = MODES.map(|sym| ctx.digest(&packed, sym));
+        let mut digests = root_digests;
+        // One frame per applied step: its packed undo token, plus the
+        // digests and the machine from before the step.
+        let mut stack: Vec<(PackedUndo, [u128; 2], Machine<P::Proc>)> = Vec::new();
 
         for &cmd in self.script {
-            let pid = cmd % n;
-            if machine.decision(pid).is_some() {
-                prop_assert_eq!(ctx.decision(&packed, pid), machine.decision(pid));
-                continue;
+            if cmd % 4 == 0 {
+                let Some((undo, prev_digests, prev_machine)) = stack.pop() else {
+                    continue;
+                };
+                ctx.undo(&mut packed, undo);
+                digests = prev_digests;
+                machine = prev_machine;
+            } else {
+                let pid = (cmd / 4) % n;
+                if machine.decision(pid).is_some() {
+                    prop_assert_eq!(ctx.decision(&packed, pid), machine.decision(pid));
+                    continue;
+                }
+                // Read-only previews, chained from the running digests: they
+                // must equal the digests of the materialised successor.
+                let previews = MODES.map(|sym| {
+                    ctx.edge_digest(&packed, pid, digests[usize::from(sym)], sym)
+                        .unwrap()
+                });
+                let before = machine.clone();
+                let machine_outcome = machine.step(pid).unwrap();
+                let (packed_outcome, undo) = ctx.step(&mut packed, pid).unwrap();
+                stack.push((undo, digests, before));
+                digests = previews;
+                match (&machine_outcome, &packed_outcome) {
+                    (StepOutcome::Invoked { result, .. }, PackedStepOutcome::Invoked(r)) => {
+                        prop_assert_eq!(result, r);
+                    }
+                    (StepOutcome::AlreadyDecided(a), PackedStepOutcome::AlreadyDecided(b)) => {
+                        prop_assert_eq!(a, b);
+                    }
+                    other => {
+                        return Err(TestCaseError::fail(format!(
+                            "outcome kinds diverged: {other:?}"
+                        )))
+                    }
+                }
+                self.checked_steps += 1;
             }
-            // Read-only preview must equal the digest of the materialised
-            // successor and must leave the state untouched.
-            let before = ctx.digest(&packed, false);
-            let preview = ctx.edge_digest(&packed, pid, before, false).unwrap();
-            let machine_outcome = machine.step(pid).unwrap();
-            let (packed_outcome, undo) = ctx.step(&mut packed, pid).unwrap();
-            undos.push(undo);
-            match (&machine_outcome, &packed_outcome) {
-                (StepOutcome::Invoked { result, .. }, PackedStepOutcome::Invoked(r)) => {
-                    prop_assert_eq!(result, r);
-                }
-                (StepOutcome::AlreadyDecided(a), PackedStepOutcome::AlreadyDecided(b)) => {
-                    prop_assert_eq!(a, b);
-                }
-                other => {
-                    return Err(TestCaseError::fail(format!(
-                        "outcome kinds diverged: {other:?}"
-                    )))
-                }
+            // The incrementally maintained digests never drift from a full
+            // re-hash, in either mode.
+            for sym in MODES {
+                prop_assert_eq!(digests[usize::from(sym)], ctx.digest(&packed, sym));
             }
-            prop_assert_eq!(preview, ctx.digest(&packed, false));
             // Full unpack: the semantic configuration is identical.
             let view = Machine::from_packed(&ctx, &packed);
             prop_assert_eq!(view.fingerprint(), machine.fingerprint());
-            prop_assert_eq!(view.fingerprint_symmetric(), machine.fingerprint_symmetric());
+            prop_assert_eq!(
+                view.fingerprint_symmetric(),
+                machine.fingerprint_symmetric()
+            );
             prop_assert_eq!(packed.touched(), machine.memory().touched());
             prop_assert_eq!(packed.cells_len(), machine.memory().len());
             prop_assert_eq!(packed.steps(), machine.steps());
             for p in 0..n {
                 prop_assert_eq!(ctx.decision(&packed, p), machine.decision(p));
             }
-            self.checked_steps += 1;
         }
 
-        // Unwind every packed step: the root must reappear bit-exactly.
-        while let Some(undo) = undos.pop() {
+        // Unwind every remaining packed step: the root and its digests must
+        // reappear bit-exactly.
+        while let Some((undo, ..)) = stack.pop() {
             ctx.undo(&mut packed, undo);
         }
         prop_assert_eq!(&packed, &root);
-        prop_assert_eq!(ctx.digest(&packed, false), root_digest);
+        prop_assert_eq!(MODES.map(|sym| ctx.digest(&packed, sym)), root_digests);
         Ok(())
     }
 }

@@ -11,7 +11,6 @@
 use space_hierarchy::protocols::bitwise::tas_reset_consensus;
 use space_hierarchy::sim::SimError;
 use space_hierarchy::verify::checker::{explore_stats, ExploreLimits, Explorer};
-use space_hierarchy::verify::legacy::legacy_explore_stats;
 
 fn assert_spill_error(err: SimError, context: &str) {
     match err {
@@ -54,8 +53,8 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
     assert_spill_error(err, "sequential packed engine");
 
     // -- parallel entry point ----------------------------------------------
-    // The budgeted probe hits the same failing arena; either way the caller
-    // sees one clean typed error and every thread shuts down.
+    // The sequential small-space probe runs first and hits the failing arena
+    // before any worker thread exists.
     let err = Explorer::new()
         .workers(8)
         .limits(limits)
@@ -63,12 +62,22 @@ fn unusable_spill_dir_surfaces_as_a_clean_error() {
         .expect_err("parallel run must fail to spill");
     assert_spill_error(err, "parallel packed engine");
 
-    // -- legacy barrier engine ---------------------------------------------
-    for workers in [1, 4] {
-        let err = legacy_explore_stats(&tas_reset_consensus(3), &[0, 1, 2], limits, workers, false)
-            .expect_err("legacy run must fail to spill");
-        assert_spill_error(err, "legacy barrier engine");
-    }
+    // -- work-stealing pool -------------------------------------------------
+    // Checkpointing runs skip the probe, so this one reaches the pool itself:
+    // its deques and reorder buffer must fail to spill, stop every worker
+    // and hand the caller the same typed error. The snapshot path lives in
+    // the (usable) temp dir; the zero budget fails long before the first
+    // checkpoint is due.
+    let ckpt =
+        std::env::temp_dir().join(format!("cbh-spill-errors-{}-pool.ck", std::process::id()));
+    let err = Explorer::new()
+        .workers(4)
+        .limits(limits)
+        .checkpoint_to(&ckpt)
+        .explore_stats(&tas_reset_consensus(3), &[0, 1, 2])
+        .expect_err("pool run must fail to spill");
+    assert_spill_error(err, "work-stealing pool");
+    let _ = std::fs::remove_file(&ckpt);
 
     // An unbudgeted run never touches the spill dir, so the same pointing
     // environment must be harmless without a budget.
