@@ -15,9 +15,12 @@
 //!   contract — and therefore the committer's determinism argument — is
 //!   untouched by where the bytes live.
 //! - [`ReorderBuffer`] — an index-addressed map for the committer's
-//!   out-of-order results. Past the budget the entries with the *largest*
-//!   admission indices (the ones the committer needs last) are encoded and
-//!   parked in the arena individually.
+//!   out-of-order results. Past the budget it parks in **bursts**: the
+//!   entries with the *largest* admission indices (the ones the committer
+//!   needs last) are encoded back to back into one arena run until the
+//!   buffer is down to a low-water mark (half the store's minimum run) and
+//!   the run is back under budget. Each record stays self-contained, so
+//!   taking an entry back reads exactly its own bytes out of the run.
 //!
 //! Encoding is delegated to a [`SpillCodec`]; the packed engine's codec
 //! delta-compresses each record against its predecessor in the run
@@ -41,7 +44,7 @@
 //! during unwinding, so a panicking worker (the engine's `StopGuard` path)
 //! leaves no orphaned spill files behind.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::path::PathBuf;
@@ -126,7 +129,8 @@ impl From<SpillError> for cbh_sim::SimError {
 /// `decode` consumes exactly the bytes `encode` produced for the record (the
 /// stores frame records with length prefixes); `prev` is the record encoded
 /// immediately before this one in the same run — the delta base — and is
-/// `None` for a run's first record and for individually parked records.
+/// `None` for a run's first record and for every record a [`ReorderBuffer`]
+/// parks (those are read back one at a time, so none may chain).
 pub trait SpillCodec {
     /// The element type stored.
     type Item;
@@ -137,10 +141,12 @@ pub trait SpillCodec {
 
     /// Rebuilds an item from the exact bytes `encode` wrote.
     ///
-    /// Spill records are written and read by the same process, so a decode
-    /// failure is an engine bug, not an input condition: implementations
-    /// should panic with the underlying typed error.
-    fn decode(&self, bytes: &[u8], prev: Option<&Self::Item>) -> Self::Item;
+    /// # Errors
+    ///
+    /// [`SpillError::Corrupt`] when `bytes` is not a record `encode` could
+    /// have written against `prev` (truncated, overlong, bad tag). Decoding
+    /// is total: arbitrary bytes yield an item or an error, never a panic.
+    fn decode(&self, bytes: &[u8], prev: Option<&Self::Item>) -> Result<Self::Item, SpillError>;
 
     /// Decodes the next record of a streamed-back run, advancing the delta
     /// chain: `prev` holds the previously decoded item on entry and must
@@ -150,13 +156,22 @@ pub trait SpillCodec {
     /// expensive to clone override it to patch `prev` in place (one state
     /// build per record instead of two); codecs that ignore `prev` override
     /// it to skip chain upkeep entirely.
-    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Self::Item>) -> Self::Item
+    ///
+    /// # Errors
+    ///
+    /// As [`SpillCodec::decode`]; `prev` is unspecified after an error (a
+    /// failed decode ends the run).
+    fn decode_step(
+        &self,
+        bytes: &[u8],
+        prev: &mut Option<Self::Item>,
+    ) -> Result<Self::Item, SpillError>
     where
         Self::Item: Clone,
     {
-        let item = self.decode(bytes, prev.as_ref());
+        let item = self.decode(bytes, prev.as_ref())?;
         *prev = Some(item.clone());
-        item
+        Ok(item)
     }
 
     /// Approximate resident footprint of `item` in bytes (budget accounting).
@@ -211,6 +226,9 @@ struct WriterState {
     /// queued runs are discarded.
     error: Option<SpillError>,
     shutdown: bool,
+    /// Runs accepted so far, for tests that bound how often a store spills.
+    #[cfg(test)]
+    appends: usize,
 }
 
 struct WriterShared {
@@ -341,6 +359,8 @@ impl SpillArena {
                     in_flight: None,
                     error: None,
                     shutdown: false,
+                    #[cfg(test)]
+                    appends: 0,
                 }),
                 work: Condvar::new(),
                 done: Condvar::new(),
@@ -428,6 +448,10 @@ impl SpillArena {
         let offset = st.len;
         st.len += bytes.len() as u64;
         st.pending.push_back((offset, Arc::new(bytes)));
+        #[cfg(test)]
+        {
+            st.appends += 1;
+        }
         self.shared.work.notify_one();
         Ok(offset)
     }
@@ -493,6 +517,13 @@ impl SpillArena {
     #[cfg(test)]
     pub(crate) fn durable_path(&self) -> Option<PathBuf> {
         self.shared.state.lock().unwrap().path.clone()
+    }
+
+    /// How many runs have been appended. Test-only: lets the parking tests
+    /// bound spill round trips, not just spilled bytes.
+    #[cfg(test)]
+    pub(crate) fn append_count(&self) -> usize {
+        self.shared.state.lock().unwrap().appends
     }
 }
 
@@ -757,7 +788,8 @@ where
     /// # Errors
     ///
     /// Propagates the arena's typed [`SpillError`] if a spilled run could
-    /// not be streamed back.
+    /// not be streamed back, and [`SpillError::Corrupt`] if its bytes do not
+    /// decode.
     pub fn pop(&mut self) -> Result<Option<C::Item>, SpillError> {
         loop {
             if let Some(cursor) = &mut self.cursor {
@@ -767,8 +799,10 @@ where
                     let rec_len = read_varint(&mut slice).map_err(|e| SpillError::Corrupt {
                         detail: format!("spill run framing: {e}"),
                     })? as usize;
-                    let record = &slice[..rec_len];
-                    let item = self.codec.decode_step(record, &mut cursor.prev);
+                    let record = slice.get(..rec_len).ok_or_else(|| SpillError::Corrupt {
+                        detail: format!("spill record of {rec_len} bytes overruns its run"),
+                    })?;
+                    let item = self.codec.decode_step(record, &mut cursor.prev)?;
                     cursor.pos += before - slice.len() + rec_len;
                     cursor.remaining -= 1;
                     self.len -= 1;
@@ -817,13 +851,23 @@ impl<C: SpillCodec> Drop for FrontierStore<C> {
 
 /// An index-addressed buffer for results completing out of admission order.
 ///
-/// Past the budget, spillable entries with the largest indices — the ones
-/// the in-order committer will wait longest for — are encoded individually
-/// into the arena and decoded back on [`ReorderBuffer::remove`].
+/// Past the budget it parks in bursts, the way [`FrontierStore`] spills: one
+/// burst takes spillable entries from the *largest* index down — the ones
+/// the in-order committer will wait longest for — until the buffer is at or
+/// under a low-water mark (half of the store's minimum run) and the run is
+/// back under its budget, and encodes them back to back into **one** arena
+/// run. Each parked index keeps its record's own `(offset, len)` in the
+/// arena, and every record is encoded without a delta base, so
+/// [`ReorderBuffer::remove`] reads back and decodes exactly one record.
+/// Draining to the low-water mark is what amortises parking: when other
+/// stores hold the shared total at the budget, the next burst waits for
+/// another half-run of inserts instead of firing on every one.
 pub struct ReorderBuffer<C: SpillCodec> {
     codec: C,
     ctx: SpillContext,
-    resident: HashMap<usize, (C::Item, usize)>,
+    /// Resident entries in index order, so a burst pops the largest first.
+    resident: BTreeMap<usize, (C::Item, usize)>,
+    /// Arena `(offset, len)` of each parked entry's record.
     parked: HashMap<usize, (u64, usize)>,
     resident_cost: usize,
 }
@@ -834,7 +878,7 @@ impl<C: SpillCodec> ReorderBuffer<C> {
         ReorderBuffer {
             codec,
             ctx,
-            resident: HashMap::new(),
+            resident: BTreeMap::new(),
             parked: HashMap::new(),
             resident_cost: 0,
         }
@@ -863,26 +907,38 @@ impl<C: SpillCodec> ReorderBuffer<C> {
         Ok(())
     }
 
+    /// One parking burst: see the type docs.
     fn park_excess(&mut self) -> Result<(), SpillError> {
-        let mut indices: Vec<usize> = self
-            .resident
-            .iter()
-            .filter(|(_, (item, _))| self.codec.spillable(item))
-            .map(|(&i, _)| i)
-            .collect();
-        indices.sort_unstable();
-        while self.ctx.over_budget() {
-            let Some(index) = indices.pop() else { break };
-            let (item, cost) = self.resident.remove(&index).expect("listed above");
-            let mut buf = Vec::new();
+        let low_water = self.ctx.min_run_bytes() / 2;
+        let mut buf = Vec::new();
+        let mut records = Vec::new();
+        let mut kept = Vec::new();
+        while self.resident_cost > low_water || self.ctx.over_budget() {
+            let Some((index, (item, cost))) = self.resident.pop_last() else {
+                break;
+            };
+            if !self.codec.spillable(&item) {
+                kept.push((index, (item, cost)));
+                continue;
+            }
+            let start = buf.len();
             self.codec.encode(&item, None, &mut buf);
-            let bytes = buf.len();
-            let offset = self.ctx.arena.append(buf)?;
-            self.ctx.tracker.add_spilled(bytes as u64);
+            records.push((index, start, buf.len() - start));
             self.ctx.tracker.sub_resident(cost);
             self.resident_cost -= cost;
-            self.parked.insert(index, (offset, bytes));
         }
+        self.resident.extend(kept);
+        if records.is_empty() {
+            return Ok(());
+        }
+        let bytes = buf.len();
+        let offset = self.ctx.arena.append(buf)?;
+        self.ctx.tracker.add_spilled(bytes as u64);
+        self.parked.extend(
+            records
+                .into_iter()
+                .map(|(index, start, len)| (index, (offset + start as u64, len))),
+        );
         Ok(())
     }
 
@@ -892,7 +948,7 @@ impl<C: SpillCodec> ReorderBuffer<C> {
     /// # Errors
     ///
     /// Propagates the arena's typed [`SpillError`] if a parked entry could
-    /// not be read back.
+    /// not be read back, and [`SpillError::Corrupt`] if it does not decode.
     pub fn remove(&mut self, index: usize) -> Result<Option<C::Item>, SpillError> {
         if let Some((item, cost)) = self.resident.remove(&index) {
             self.ctx.tracker.sub_resident(cost);
@@ -903,7 +959,7 @@ impl<C: SpillCodec> ReorderBuffer<C> {
             return Ok(None);
         };
         let bytes = self.ctx.arena.read(offset, len)?;
-        Ok(Some(self.codec.decode(&bytes, None)))
+        self.codec.decode(&bytes, None).map(Some)
     }
 }
 
@@ -928,8 +984,11 @@ mod tests {
             write_varint(out, item ^ prev.copied().unwrap_or(0));
         }
 
-        fn decode(&self, mut bytes: &[u8], prev: Option<&u64>) -> u64 {
-            read_varint(&mut bytes).expect("test record") ^ prev.copied().unwrap_or(0)
+        fn decode(&self, mut bytes: &[u8], prev: Option<&u64>) -> Result<u64, SpillError> {
+            let value = read_varint(&mut bytes).map_err(|e| SpillError::Corrupt {
+                detail: e.to_string(),
+            })?;
+            Ok(value ^ prev.copied().unwrap_or(0))
         }
 
         fn cost(&self, _item: &u64) -> usize {
@@ -1028,6 +1087,44 @@ mod tests {
             assert_eq!(buffer.remove(index).unwrap(), Some(index as u64 * 7), "{index}");
         }
         assert_eq!(buffer.remove(0).unwrap(), None);
+        assert_eq!(ctx.tracker().resident_bytes(), 0);
+    }
+
+    #[test]
+    fn reorder_buffer_parks_in_batched_runs() {
+        // A small non-zero budget: min_run_bytes() is its 4 KiB floor, so a
+        // burst fires once 512 entries are resident and drains to 256.
+        // Parking just enough to get back under budget would append one run
+        // per insert, ~1,500 here.
+        const INSERTS: usize = 2_000;
+        let ctx = SpillContext::new(Some(4096));
+        let mut buffer = ReorderBuffer::new(U64Codec, ctx.clone());
+        // Out of order: a descending sweep of the odd indices interleaved
+        // with an ascending sweep of the even ones.
+        let order: Vec<usize> = (0..INSERTS / 2)
+            .flat_map(|i| [INSERTS - 1 - 2 * i, 2 * i])
+            .collect();
+        for &index in &order {
+            buffer.insert(index, index as u64 * 7 + 1).unwrap();
+        }
+        let appends = ctx.arena().append_count();
+        assert!(appends > 0, "the budget must force parking");
+        assert!(
+            appends <= INSERTS / 16,
+            "{appends} arena appends for {INSERTS} inserts"
+        );
+        // Re-insert an index whose old entry shares a parked run with its
+        // neighbours: the new entry wins, the neighbours are untouched.
+        let top = INSERTS - 1;
+        // `top` led the first burst and `top - 2` followed it into that run.
+        let (run_start, top_len) = buffer.parked[&top];
+        assert_eq!(buffer.parked[&(top - 2)].0, run_start + top_len as u64);
+        buffer.insert(top, 42).unwrap();
+        for index in 0..INSERTS {
+            let expect = if index == top { 42 } else { index as u64 * 7 + 1 };
+            assert_eq!(buffer.remove(index).unwrap(), Some(expect), "{index}");
+        }
+        assert_eq!(buffer.remove(top).unwrap(), None);
         assert_eq!(ctx.tracker().resident_bytes(), 0);
     }
 

@@ -205,24 +205,58 @@ fn encode_node(node: &Node, base: Option<&PackedState>, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_node(mut bytes: &[u8], base: Option<&PackedState>) -> Node {
-    let index = read_varint(&mut bytes).expect("node record: index") as usize;
-    let (fp_bytes, rest) = bytes.split_at(16);
-    let fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-    let expand = rest[0] != 0;
-    let tag = rest[1];
-    let state_bytes = &rest[2..];
+/// A spill record that does not parse; `what` names the failing field.
+fn corrupt(what: &str, cause: impl std::fmt::Display) -> SpillError {
+    SpillError::Corrupt {
+        detail: format!("spill record {what}: {cause}"),
+    }
+}
+
+/// Reads one varint field off the front of `bytes`.
+fn take_varint(bytes: &mut &[u8], what: &str) -> Result<u64, SpillError> {
+    read_varint(bytes).map_err(|e| corrupt(what, e))
+}
+
+/// Splits `len` bytes off the front of `bytes`.
+fn take_bytes<'a>(bytes: &mut &'a [u8], len: usize, what: &str) -> Result<&'a [u8], SpillError> {
+    if bytes.len() < len {
+        return Err(corrupt(what, format!("wanted {len} bytes, {} left", bytes.len())));
+    }
+    let (head, rest) = bytes.split_at(len);
+    *bytes = rest;
+    Ok(head)
+}
+
+/// Reads a little-endian 128-bit fingerprint off the front of `bytes`.
+fn take_fp(bytes: &mut &[u8]) -> Result<u128, SpillError> {
+    let mut raw = [0u8; 16];
+    raw.copy_from_slice(take_bytes(bytes, 16, "fingerprint")?);
+    Ok(u128::from_le_bytes(raw))
+}
+
+/// Reads what [`encode_node`] writes ahead of the state: index, fingerprint,
+/// expand flag and state tag.
+fn decode_node_header(bytes: &mut &[u8]) -> Result<(usize, u128, bool, u8), SpillError> {
+    let index = take_varint(bytes, "node index")? as usize;
+    let fp = take_fp(bytes)?;
+    let flags = take_bytes(bytes, 2, "node flags")?;
+    Ok((index, fp, flags[0] != 0, flags[1]))
+}
+
+fn decode_node(mut bytes: &[u8], base: Option<&PackedState>) -> Result<Node, SpillError> {
+    let (index, fp, expand, tag) = decode_node_header(&mut bytes)?;
     let state = match (tag, base) {
-        (1, Some(base)) => apply_delta(base, state_bytes).expect("node record: delta"),
-        (0, _) => decode_flat(state_bytes).expect("node record: flat state"),
-        _ => unreachable!("spill record base/tag mismatch"),
-    };
-    Node {
+        (1, Some(base)) => apply_delta(base, bytes),
+        (0, _) => decode_flat(bytes),
+        _ => return Err(corrupt("node state", format!("tag {tag} with base {}", base.is_some()))),
+    }
+    .map_err(|e| corrupt("node state", e))?;
+    Ok(Node {
         index,
         state,
         fp,
         expand,
-    }
+    })
 }
 
 /// Codec for the sequential engine's admission queue: records chain across
@@ -236,31 +270,28 @@ impl SpillCodec for NodeCodec {
         encode_node(node, prev.map(|p| &p.state), out);
     }
 
-    fn decode(&self, bytes: &[u8], prev: Option<&Node>) -> Node {
+    fn decode(&self, bytes: &[u8], prev: Option<&Node>) -> Result<Node, SpillError> {
         decode_node(bytes, prev.map(|p| &p.state))
     }
 
     /// Streamed-back records patch the chained base **in place** (a delta
     /// touches a handful of positions) and clone once to return — instead of
     /// building a state from the base and cloning it again for the chain.
-    fn decode_step(&self, mut bytes: &[u8], prev: &mut Option<Node>) -> Node {
+    fn decode_step(&self, mut bytes: &[u8], prev: &mut Option<Node>) -> Result<Node, SpillError> {
         let Some(node) = prev else {
-            let item = self.decode(bytes, None);
+            let item = self.decode(bytes, None)?;
             *prev = Some(item.clone());
-            return item;
+            return Ok(item);
         };
-        node.index = read_varint(&mut bytes).expect("node record: index") as usize;
-        let (fp_bytes, rest) = bytes.split_at(16);
-        node.fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-        node.expand = rest[0] != 0;
-        let tag = rest[1];
-        let state_bytes = &rest[2..];
+        let tag;
+        (node.index, node.fp, node.expand, tag) = decode_node_header(&mut bytes)?;
         match tag {
-            1 => apply_delta_into(&mut node.state, state_bytes).expect("node record: delta"),
-            0 => node.state = decode_flat(state_bytes).expect("node record: flat state"),
-            _ => unreachable!("spill record base/tag mismatch"),
+            1 => apply_delta_into(&mut node.state, bytes),
+            0 => decode_flat(bytes).map(|state| node.state = state),
+            _ => return Err(corrupt("node state", format!("tag {tag}"))),
         }
-        node.clone()
+        .map_err(|e| corrupt("node state", e))?;
+        Ok(node.clone())
     }
 
     fn cost(&self, node: &Node) -> usize {
@@ -289,29 +320,33 @@ impl SpillCodec for BatchCodec {
         }
     }
 
-    fn decode(&self, mut bytes: &[u8], prev: Option<&Batch>) -> Batch {
-        let count = read_varint(&mut bytes).expect("batch record: count") as usize;
-        let mut batch = Vec::with_capacity(count);
+    fn decode(&self, mut bytes: &[u8], prev: Option<&Batch>) -> Result<Batch, SpillError> {
+        let count = take_varint(&mut bytes, "batch count")? as usize;
+        // Every node takes at least a byte, so a forged count cannot make
+        // this reserve more than the record's own length.
+        let mut batch = Vec::with_capacity(count.min(bytes.len()));
         for _ in 0..count {
-            let len = read_varint(&mut bytes).expect("batch record: framing") as usize;
+            let len = take_varint(&mut bytes, "batch framing")? as usize;
+            let record = take_bytes(&mut bytes, len, "batch node")?;
             let base = batch.last().or_else(|| prev.and_then(|b: &Batch| b.last()));
-            let node = decode_node(&bytes[..len], base.map(|n: &Node| &n.state));
-            bytes = &bytes[len..];
-            batch.push(node);
+            batch.push(decode_node(record, base.map(|n: &Node| &n.state))?);
         }
-        batch
+        if !bytes.is_empty() {
+            return Err(corrupt("batch", format!("{} trailing bytes", bytes.len())));
+        }
+        Ok(batch)
     }
 
     /// Only the chain's *last* node ever serves as a delta base, so keep a
     /// one-node stub instead of cloning the whole batch between records.
-    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Batch>) -> Batch {
-        let batch = self.decode(bytes, prev.as_ref());
+    fn decode_step(&self, bytes: &[u8], prev: &mut Option<Batch>) -> Result<Batch, SpillError> {
+        let batch = self.decode(bytes, prev.as_ref())?;
         // An empty batch leaves the chain where it was, exactly as `encode`
         // leaves its base untouched when it writes zero nodes.
         if let Some(last) = batch.last() {
             *prev = Some(vec![last.clone()]);
         }
-        batch
+        Ok(batch)
     }
 
     fn cost(&self, batch: &Batch) -> usize {
@@ -322,10 +357,11 @@ impl SpillCodec for BatchCodec {
     }
 }
 
-/// Codec for the committer's reorder buffer. Records are parked
-/// individually (no run chaining): the parent state is flat-encoded and
-/// each speculatively materialised child is a delta against it — one step
-/// away, so a few bytes each. Error results are never spilled (the
+/// Codec for the committer's reorder buffer. Records never chain: the
+/// buffer parks them back to back in one arena run per burst but reads each
+/// back on its own, so the parent state is flat-encoded and each
+/// speculatively materialised child is a delta against it — one step away,
+/// so a few bytes each. Error results are never spilled (the
 /// committer consumes and propagates them immediately).
 struct ResultCodec;
 
@@ -367,50 +403,48 @@ impl SpillCodec for ResultCodec {
         }
     }
 
-    fn decode(&self, mut bytes: &[u8], _prev: Option<&NodeResult>) -> NodeResult {
-        let state_len = read_varint(&mut bytes).expect("result record: framing") as usize;
-        let state = decode_flat(&bytes[..state_len]).expect("result record: state");
-        bytes = &bytes[state_len..];
-        let has_active = bytes[0] != 0;
-        let solo_failure = match bytes[1] {
-            0 => {
-                bytes = &bytes[2..];
-                None
-            }
-            _ => {
-                bytes = &bytes[2..];
-                Some(read_varint(&mut bytes).expect("result record: solo pid") as usize)
-            }
+    fn decode(
+        &self,
+        mut bytes: &[u8],
+        _prev: Option<&NodeResult>,
+    ) -> Result<NodeResult, SpillError> {
+        let state_len = take_varint(&mut bytes, "result state length")? as usize;
+        let state = decode_flat(take_bytes(&mut bytes, state_len, "result state")?)
+            .map_err(|e| corrupt("result state", e))?;
+        let flags = take_bytes(&mut bytes, 2, "result flags")?;
+        let has_active = flags[0] != 0;
+        let solo_failure = match flags[1] {
+            0 => None,
+            _ => Some(take_varint(&mut bytes, "result solo pid")? as usize),
         };
-        let edge_count = read_varint(&mut bytes).expect("result record: edges") as usize;
-        let mut edges = Vec::with_capacity(edge_count);
+        let edge_count = take_varint(&mut bytes, "result edge count")? as usize;
+        // Every edge takes at least 18 bytes, so a forged count cannot make
+        // this reserve more than the record's own length.
+        let mut edges = Vec::with_capacity(edge_count.min(bytes.len()));
         for _ in 0..edge_count {
-            let pid = read_varint(&mut bytes).expect("result record: pid") as usize;
-            let (fp_bytes, rest) = bytes.split_at(16);
-            let fp = u128::from_le_bytes(fp_bytes.try_into().expect("16-byte digest"));
-            let child = match rest[0] {
-                0 => {
-                    bytes = &rest[1..];
-                    None
-                }
+            let pid = take_varint(&mut bytes, "edge pid")? as usize;
+            let fp = take_fp(&mut bytes)?;
+            let child = match take_bytes(&mut bytes, 1, "edge child tag")?[0] {
+                0 => None,
                 _ => {
-                    bytes = &rest[1..];
-                    let len = read_varint(&mut bytes).expect("result record: child len") as usize;
-                    let child = apply_delta(&state, &bytes[..len]).expect("result record: child");
-                    bytes = &bytes[len..];
-                    Some(child)
+                    let len = take_varint(&mut bytes, "edge child length")? as usize;
+                    let delta = take_bytes(&mut bytes, len, "edge child")?;
+                    Some(apply_delta(&state, delta).map_err(|e| corrupt("edge child", e))?)
                 }
             };
             edges.push(Edge { pid, fp, child });
         }
-        NodeResult {
+        if !bytes.is_empty() {
+            return Err(corrupt("result", format!("{} trailing bytes", bytes.len())));
+        }
+        Ok(NodeResult {
             state,
             out: Ok(Expansion {
                 solo_failure,
                 has_active,
                 edges,
             }),
-        }
+        })
     }
 
     fn cost(&self, result: &NodeResult) -> usize {
@@ -1458,6 +1492,80 @@ mod tests {
         // dispatch at least the root are required to have spilled.
         if limits.depth > 0 || limits.solo_check_budget.is_some() {
             assert!(spill.1.bytes_spilled > 0, "zero budget must spill");
+        }
+    }
+
+    #[test]
+    fn truncated_spill_records_decode_to_errors() {
+        let machine = Machine::start(&MaxRegConsensus::new(3), &[0, 1, 2]).unwrap();
+        let ctx = machine.packed_ctx();
+        let mut cache = PackedCache::new();
+        let root = machine.pack(&ctx);
+        let fp = ctx.digest_cached(&mut cache, &root, false);
+        let node = Node {
+            index: 300,
+            state: root,
+            fp,
+            expand: true,
+        };
+        // A fresh claim table lets this expansion win every claim, so every
+        // edge carries a materialised child; the last edge drops its child
+        // and a solo pid is set so each optional field is encoded.
+        let cfg = RunCfg {
+            solo_budget: None,
+            symmetric: false,
+            cache_cap: None,
+        };
+        let claims = ClaimTable::new(64);
+        let mut expansion = expand_node(&ctx, &node, cfg, Some(&claims), &mut cache).unwrap();
+        assert!(expansion.edges.len() >= 2);
+        expansion.edges.last_mut().unwrap().child = None;
+        expansion.solo_failure = Some(2);
+        let first = &expansion.edges[0];
+        let child = Node {
+            index: 301,
+            state: first.child.clone().expect("claimed edge"),
+            fp: first.fp,
+            expand: false,
+        };
+        let edge_key = |e: &Edge| (e.pid, e.fp, e.child.clone());
+        let want_edges: Vec<_> = expansion.edges.iter().map(edge_key).collect();
+        let result = NodeResult {
+            state: node.state.clone(),
+            out: Ok(expansion),
+        };
+
+        let mut record = Vec::new();
+        ResultCodec.encode(&result, None, &mut record);
+        let back = ResultCodec.decode(&record, None).unwrap();
+        let got = back.out.as_ref().unwrap();
+        assert_eq!(back.state, result.state);
+        assert_eq!((got.solo_failure, got.has_active), (Some(2), true));
+        assert_eq!(got.edges.iter().map(edge_key).collect::<Vec<_>>(), want_edges);
+        for cut in 0..record.len() {
+            assert!(ResultCodec.decode(&record[..cut], None).is_err(), "result prefix {cut}");
+        }
+
+        // Node records: a flat one (a run's first) and a delta one.
+        for (item, base) in [(&node, None), (&child, Some(&node))] {
+            let mut record = Vec::new();
+            NodeCodec.encode(item, base, &mut record);
+            let back = NodeCodec.decode(&record, base).unwrap();
+            assert_eq!(
+                (back.index, back.fp, back.expand, &back.state),
+                (item.index, item.fp, item.expand, &item.state)
+            );
+            for cut in 0..record.len() {
+                assert!(NodeCodec.decode(&record[..cut], base).is_err(), "node prefix {cut}");
+                let mut chain = base.cloned();
+                assert!(NodeCodec.decode_step(&record[..cut], &mut chain).is_err());
+            }
+        }
+        let mut record = Vec::new();
+        BatchCodec.encode(&vec![node.clone(), child.clone()], None, &mut record);
+        assert_eq!(BatchCodec.decode(&record, None).unwrap().len(), 2);
+        for cut in 0..record.len() {
+            assert!(BatchCodec.decode(&record[..cut], None).is_err(), "batch prefix {cut}");
         }
     }
 
