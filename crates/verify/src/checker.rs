@@ -169,10 +169,15 @@ impl Eq for ExploreStats {}
 /// counters are excluded from the fingerprint), so the costs to budget for
 /// are:
 ///
-/// - **`max_configs`** bounds memory: 16 bytes of fingerprint per visited
-///   configuration, plus one live `Machine` per *frontier* entry (the
-///   current breadth-first layer only, not the whole history). The default
-///   of one million configurations is a few hundred megabytes in the worst
+/// - **`max_configs`** is a cap on admitted configurations, not a
+///   reservation: no unbudgeted run sizes memory from it (a budgeted run
+///   only aims its Bloom filter at it, within the budget). Memory follows
+///   what the run admits — a fingerprint per visited configuration (the
+///   parallel engine's claim table doubles as it fills and holds 2–4
+///   slots of ~16 bytes per admitted configuration), plus one packed
+///   state per *frontier* entry (queued for expansion or in-order commit,
+///   not the whole history) and the shared intern tables. The default of one
+///   million configurations is a few hundred megabytes in the worst
 ///   frontier-heavy case and explores in seconds.
 /// - **`depth`** bounds the schedule length. Terminating protocols stop
 ///   growing the frontier on their own — a generous depth costs nothing

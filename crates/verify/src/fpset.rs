@@ -922,17 +922,29 @@ impl Drop for SeenBackend {
     }
 }
 
-impl AdmitSet for &ClaimTable {
+/// The unbudgeted parallel committer's seen set: the shared claim table,
+/// admitted through its growing path, with each doubling charged to the
+/// run's tracker when it happens.
+pub(crate) struct GrowingClaims<'a> {
+    pub(crate) table: &'a ClaimTable,
+    pub(crate) tracker: &'a MemTracker,
+}
+
+impl AdmitSet for GrowingClaims<'_> {
     fn admit(&mut self, fp: u128) -> Result<bool, SpillError> {
-        Ok(ClaimTable::admit(self, fp))
+        let (new, grown) = self.table.admit_growing(fp);
+        if grown > 0 {
+            self.tracker.add_resident(grown);
+        }
+        Ok(new)
     }
 
     fn seen_resident_bytes(&self) -> usize {
-        self.resident_bytes()
+        self.table.resident_bytes()
     }
 
     fn collect_fps(&self) -> Result<Vec<u128>, SpillError> {
-        Ok(self.committed_fps())
+        Ok(self.table.committed_fps())
     }
 }
 
@@ -942,6 +954,24 @@ mod tests {
 
     fn tiny_ctx(budget: usize) -> SpillContext {
         SpillContext::new(Some(budget))
+    }
+
+    #[test]
+    fn growing_claims_charge_each_doubling() {
+        let ctx = SpillContext::new(None);
+        let table = ClaimTable::new(0);
+        ctx.tracker().add_resident(table.allocated_bytes());
+        let mut admit = GrowingClaims {
+            table: &table,
+            tracker: ctx.tracker(),
+        };
+        for i in 1..=5000u128 {
+            let fp = i.wrapping_mul(0x9e3779b97f4a7c15_9e3779b97f4a7c15);
+            assert!(admit.admit(fp).unwrap());
+        }
+        assert!(table.capacity() >= 10_000, "{} slots", table.capacity());
+        assert_eq!(ctx.tracker().resident_bytes(), table.allocated_bytes());
+        assert_eq!(ctx.tracker().peak_resident_bytes(), table.allocated_bytes());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   *read-only* [`PackedCtx::edge_digest`] preview (no mutation, no undo)
 //!   through a thread-local [`PackedCache`] over the shared intern tables,
 //!   runs the optional solo probes, and — when an edge's successor digest
-//!   wins its claim in the lock-free [`ClaimTable`] — speculatively
+//!   wins its claim in the atomic [`ClaimTable`] — speculatively
 //!   materialises the successor (a flat clone plus one in-place step) so
 //!   the committer usually receives admitted children ready-made.
 //! - The **committer** (the calling thread) consumes one result per node
@@ -65,7 +65,7 @@
 
 use crate::checker::{schedule_of, ExploreLimits, ExploreOutcome, ExploreStats, Link, NO_LINK};
 use crate::claim::ClaimTable;
-use crate::fpset::{AdmitSet, SeenBackend};
+use crate::fpset::{AdmitSet, GrowingClaims, SeenBackend};
 use crate::frontier::{FrontierStore, ReorderBuffer, SpillCodec, SpillContext, SpillError};
 use crate::snapshot::{Snapshot, SnapshotError, NO_PARENT};
 use cbh_model::packed::delta::{read_varint, write_varint};
@@ -585,7 +585,8 @@ struct Pool {
     stop: AtomicBool,
     /// Shared fingerprint table: workers claim into it to dedupe speculative
     /// child materialisation; on unbudgeted runs the committer also admits
-    /// into its committed bitmap. Lock-free on both hot paths.
+    /// into its committed bitmap and grows it with the run. Both hot paths
+    /// are one CAS under a shared read guard.
     claims: ClaimTable,
     /// First spill-IO failure observed by any pool thread. A worker that
     /// hits one records it here and stops the pool; the committer turns it
@@ -1381,7 +1382,8 @@ where
         idle: Mutex::new(()),
         work_ready: Condvar::new(),
         stop: AtomicBool::new(false),
-        // Unbudgeted: sized for the run's admission cap and doubling as the
+        // Unbudgeted: presized for the probe's threshold, grown by the
+        // committer as admissions pass half its slots, and doubling as the
         // authoritative seen set (the committer's root admission below lands
         // before any dispatch, so workers can never win a claim on the
         // root's fingerprint). Budgeted: a fixed-size *advisory* table —
@@ -1398,14 +1400,14 @@ where
                 let remaining = budget.saturating_sub(mem.tracker().resident_bytes());
                 ClaimTable::advisory((budget / 4).max(4096).min(remaining.max(1024)))
             }
-            None => ClaimTable::new(limits.max_configs),
+            None => ClaimTable::new(MIN_PARALLEL_CONFIGS),
         },
         io_error: Mutex::new(None),
     };
     // The claim table is a real, budget-relevant allocation of the parallel
-    // run; charge it for as long as the pool lives.
-    let claim_bytes = pool.claims.resident_bytes();
-    mem.tracker().add_resident(claim_bytes);
+    // run; charge it for as long as the pool lives. The unbudgeted
+    // committer charges each doubling as it happens (`GrowingClaims`).
+    mem.tracker().add_resident(pool.claims.allocated_bytes());
     let outcome = std::thread::scope(|scope| {
         for home in 0..workers {
             let pool = &pool;
@@ -1441,7 +1443,10 @@ where
                 resume,
             )
         } else {
-            let mut admit = &pool.claims;
+            let mut admit = GrowingClaims {
+                table: &pool.claims,
+                tracker: mem.tracker(),
+            };
             drive(
                 &ctx,
                 root,
@@ -1456,7 +1461,7 @@ where
             )
         }
     });
-    mem.tracker().sub_resident(claim_bytes);
+    mem.tracker().sub_resident(pool.claims.allocated_bytes());
     outcome
 }
 
@@ -1567,6 +1572,30 @@ mod tests {
         for cut in 0..record.len() {
             assert!(BatchCodec.decode(&record[..cut], None).is_err(), "batch prefix {cut}");
         }
+    }
+
+    #[test]
+    fn claim_table_grows_with_the_run_not_max_configs() {
+        // ~34k configurations under the default million-config cap: the
+        // table must be sized by what the run admits. A table presized from
+        // the cap would hold 2^21 slots, ~60 per configuration here.
+        let limits = ExploreLimits {
+            depth: 14,
+            ..ExploreLimits::default()
+        };
+        let (outcome, stats) =
+            explore_packed_par(&MaxRegConsensus::new(4), &[0, 1, 2, 3], limits, false, 2)
+                .unwrap();
+        assert!(outcome.is_clean());
+        assert!((10_000..100_000).contains(&stats.configs), "{} configs", stats.configs);
+        // A slot is 16 bytes of fingerprint plus one committed bit.
+        let slot_bytes = 16 + 1;
+        assert!(
+            stats.seen_resident_bytes <= 4 * slot_bytes * stats.configs,
+            "claim table holds {} bytes for {} configurations",
+            stats.seen_resident_bytes,
+            stats.configs
+        );
     }
 
     #[test]

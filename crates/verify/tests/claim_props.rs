@@ -26,7 +26,10 @@ fn widen(raw: u128, spread: bool) -> u128 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    // The default config reads `PROPTEST_CASES` (64 when unset), so a CI
+    // step can raise the case count of these racing properties;
+    // `with_cases` would pin it.
+    #![proptest_config(ProptestConfig::default())]
 
     /// Driven from one thread, `claim` is exactly `HashSet::insert`.
     #[test]
@@ -137,6 +140,79 @@ proptest! {
         prop_assert_eq!(admitted, distinct.len());
         for &fp in &distinct {
             prop_assert!(!table.admit(fp), "{:#x} re-admitted", fp);
+        }
+    }
+
+    /// Growth: a committer admitting through the growing path from the
+    /// 16-slot minimum, against 2–6 racing claimers. Across every doubling,
+    /// admissions stay `HashSet::insert` in the committer's order, every
+    /// distinct fingerprint is claimed exactly once, the committed set is
+    /// the admitted set, and no fingerprint has two homes.
+    #[test]
+    fn growth_keeps_exactly_once_under_racing_claims(
+        raws in proptest::collection::vec(0u128..4000, 1..600),
+        spread in proptest::collection::vec(any::<bool>(), 1..8),
+        threads in 2usize..7,
+    ) {
+        let table = ClaimTable::new(0);
+        // Mixing spread and raw values keeps zero-half fingerprints in play.
+        let fps: Vec<u128> = raws
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| widen(r, spread[i % spread.len()]))
+            .collect();
+        let (answers, wins) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let table = &table;
+                    let fps = &fps;
+                    scope.spawn(move || {
+                        let mut won = Vec::new();
+                        for i in 0..fps.len() {
+                            let fp = fps[(i + t * 131) % fps.len()];
+                            if table.claim(fp) {
+                                won.push(fp);
+                            }
+                        }
+                        won
+                    })
+                })
+                .collect();
+            // The committer claims some edges itself before admitting them,
+            // as the engine's committer derives unclaimed children.
+            let mut won = Vec::new();
+            let mut answers = Vec::new();
+            for (i, &fp) in fps.iter().enumerate() {
+                if i % 3 == 0 && table.claim(fp) {
+                    won.push(fp);
+                }
+                answers.push(table.admit_growing(fp).0);
+            }
+            let mut wins: Vec<Vec<u128>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            wins.push(won);
+            (answers, wins)
+        });
+        let mut reference: HashSet<u128> = HashSet::new();
+        for (&fp, &answer) in fps.iter().zip(&answers) {
+            prop_assert_eq!(answer, reference.insert(fp));
+        }
+        let mut winners: HashSet<u128> = HashSet::new();
+        for fp in wins.iter().flatten() {
+            prop_assert!(winners.insert(*fp), "{:#x} claimed twice", fp);
+        }
+        prop_assert!(winners.is_subset(&reference));
+        // Every fingerprint a claimer did not win was claimed by an
+        // admission: none is left to claim.
+        for &fp in &reference {
+            prop_assert!(!table.claim(fp), "{:#x} claimable after the run", fp);
+            prop_assert!(table.contains(fp));
+        }
+        let committed: HashSet<u128> = table.committed_fps().into_iter().collect();
+        prop_assert_eq!(&committed, &reference);
+        prop_assert!(table.homes_are_unique());
+        prop_assert!(table.capacity() >= 16);
+        if reference.len() > 8 {
+            prop_assert!(table.capacity() > 16, "{} admissions, no doubling", reference.len());
         }
     }
 

@@ -1,7 +1,7 @@
 //! Deep-horizon conformance smoke: a state space past 10⁶ configurations,
-//! the regime where the lock-free claim table sees real probe chains, the
-//! per-worker intern caches carry most lookups, and adaptive batching
-//! leaves its minimum batch size.
+//! the regime where the claim table sees real probe chains and grows
+//! through 2²² slots under racing claims, the per-worker intern caches
+//! carry most lookups, and adaptive batching leaves its minimum batch size.
 //!
 //! The small conformance scenarios can't reach this regime, so a racing
 //! bug that only fires under load (a lost claim in a long probe chain, a

@@ -50,11 +50,22 @@ use space_hierarchy::sync::run_threaded_traced;
 use space_hierarchy::verify::checker::{explore, ExploreLimits, ExploreOutcome};
 use space_hierarchy::verify::strawmen::{OneMaxRegister, OneRegister};
 
+/// `name` parsed as a `T`, `None` when unset. A set but malformed value
+/// panics: a typo must not quietly run a CI column with its default.
+fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let value = match std::env::var(name) {
+        Ok(value) => value,
+        Err(std::env::VarError::NotPresent) => return None,
+        Err(err) => panic!("{name}: {err}"),
+    };
+    match value.parse() {
+        Ok(parsed) => Some(parsed),
+        Err(_) => panic!("{name}={value:?} is not a valid {}", std::any::type_name::<T>()),
+    }
+}
+
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    env_parse(name).unwrap_or(default)
 }
 
 fn suite_config() -> ConformanceConfig {
@@ -69,9 +80,7 @@ fn suite_config() -> ConformanceConfig {
         explorer_workers: env_u64("CONFORMANCE_WORKERS", defaults.explorer_workers as u64)
             as usize,
         symmetry: env_u64("CONFORMANCE_SYM", 1) != 0,
-        memory_budget: std::env::var("CONFORMANCE_MEM_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok()),
+        memory_budget: env_parse("CONFORMANCE_MEM_BUDGET"),
         resume: env_u64("CONFORMANCE_RESUME", 0) != 0,
         shards: env_u64("CONFORMANCE_SHARDS", 0) as usize,
         trace: env_u64("CONFORMANCE_TRACE", 0) != 0,
